@@ -42,13 +42,13 @@ an uninterrupted run executing the same shrink/expand schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from repro.mpi.errors import PeerFailure, RankDied
 from repro.mpi.launcher import run_spmd
-from repro.nn.lr_scheduler import MultiStepLR, WarmupWrapper
 from repro.nn.models import build_model
 from repro.obs.telemetry import drain_pending
 from repro.shuffle.partial import PartialLocalShuffle
@@ -61,15 +61,20 @@ from repro.train.checkpoint import (
     load_job_snapshot,
     save_job_snapshot,
 )
-from repro.train.distributed import broadcast_model
 from repro.train.history import RunHistory
-from repro.train.trainer import TrainConfig, _build_optimizer
+from repro.train.trainer import (
+    TrainConfig,
+    _build_optimizer,
+    _build_schedule,
+    _run_epoch,
+    _setup,
+)
 from repro.utils.rng import default_rng_state, restore_default_rng_state
 
 from .failure import FailurePlan
 from .ledger import ReplicaLedger
 from .rejoin import RankRejoin, join_handshake, rebalance_targets
-from .trainer import _recover, _snapshot, _train_one_epoch
+from .trainer import _recover, _snapshot
 
 __all__ = [
     "Crashed",
@@ -340,11 +345,11 @@ class _LifecycleRank:
                 self._admit(joiners, epoch)
             mem = _snapshot(self.model, self.optimizer)
             try:
-                lr = self.schedule.step(epoch)
-                record = _train_one_epoch(
+                record = _run_epoch(
                     self.comm, self.config, self.strategy, self.model,
-                    self.optimizer, self.plan.kills, epoch, lr,
+                    self.optimizer, self.schedule, epoch,
                     self.val_X, self.val_y,
+                    check=partial(self.plan.kills.check, self.me, epoch),
                 )
             except RankDied as exc:
                 return self._die(exc)
@@ -522,21 +527,12 @@ class _LifecycleRank:
         )
 
     def _fresh_setup(self) -> None:
-        cfg = self.config
-        self.model = build_model(
-            cfg.model, in_shape=cfg.in_shape, num_classes=cfg.num_classes,
-            seed=cfg.seed, norm=cfg.norm,
-        )
-        broadcast_model(self.model, self.comm)
         self.strategy = PartialLocalShuffle(
             self.q, ledger=ReplicaLedger(), **self.strategy_kwargs
         )
-        self.strategy.setup(
-            self.comm, self.dataset,
-            labels=self.labels, partition=cfg.partition, seed=cfg.seed,
+        self.model, self.optimizer, self.schedule = _setup(
+            self.comm, self.config, self.strategy, self.dataset, self.labels
         )
-        self.optimizer = _build_optimizer(cfg, self.model, self.comm.size)
-        self.schedule = self._build_schedule()
         self.history = RunHistory(
             strategy=self.strategy.name, workers=self.comm.size
         )
@@ -592,22 +588,12 @@ class _LifecycleRank:
             {k: np.copy(v) for k, v in model_state.items()}
         )
         self.optimizer = _build_optimizer(cfg, self.model, total_workers)
-        self.schedule = self._build_schedule()
+        self.schedule = _build_schedule(cfg, self.optimizer)
         if velocity is not None and hasattr(self.optimizer, "_velocity"):
             self.optimizer._velocity = [
                 None if v is None else v.copy() for v in velocity
             ]
         self.optimizer.lr = lr
-
-    def _build_schedule(self):
-        cfg = self.config
-        schedule = MultiStepLR(
-            self.optimizer, milestones=list(cfg.lr_milestones),
-            gamma=cfg.lr_gamma,
-        )
-        if cfg.warmup_epochs:
-            schedule = WarmupWrapper(schedule, cfg.warmup_epochs)
-        return schedule
 
     # -------------------------------------------------------------- checkpoint
     def _checkpoint(self, epoch: int) -> None:

@@ -40,13 +40,7 @@ from repro.utils.retry import default_retrier
 
 from .ledger import ReplicaLedger
 
-__all__ = ["ShardRecovery", "RecoveryReport", "RECOVERY_TAG_BASE"]
-
-#: Tag space for recovery transfers (allocated in repro.mpi.tags).  Recovery
-#: runs on a freshly shrunk communicator (its own matching context), so these
-#: cannot collide with exchange traffic; the registry range just keeps them
-#: recognisable in traces and lintable by SPMD006.
-RECOVERY_TAG_BASE = RECOVERY.base
+__all__ = ["ShardRecovery", "RecoveryReport"]
 
 
 @dataclass
@@ -260,6 +254,8 @@ class ShardRecovery:
         for idx, (gid, src, dst) in enumerate(assignments):
             # Wraps modulo the range width; FIFO matching per (source, tag)
             # channel keeps reused tags unambiguous within one recovery.
+            # The shrunk communicator is its own matching context, so these
+            # cannot collide with exchange traffic.
             tag = RECOVERY.tag(idx)
             if src is not None and src != dst:
                 if me == src:

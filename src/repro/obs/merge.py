@@ -7,7 +7,7 @@ the paper's empirical objects:
 
 * :func:`phase_totals` — the Figure 10 accounting (I/O, EXCHANGE, FW+BW,
   GE+WU) as a view over ``cat="phase"`` spans, the single source of truth
-  that :func:`repro.train.telemetry.measure_phase_breakdown` now reports.
+  that :func:`repro.train.telemetry.measure_phase_breakdown` reports.
 * :func:`overlap_report` — the Figure 4 question: how much of the PLS
   exchange was posted *under* the training iterations (overlap chunks)
   versus blocking at the epoch boundary, and how much wall-clock the
@@ -86,9 +86,10 @@ def merge_ranks(
 def phase_totals(events: Iterable[TraceEvent]) -> dict[str, float]:
     """Total seconds per phase name over ``cat="phase"`` spans (all ranks).
 
-    This is the trace-side definition of the Figure 10 breakdown: summing a
-    rank's phase spans reproduces what a :class:`~repro.utils.timing.PhaseTimer`
-    wrapped around the same regions would have accumulated.
+    This is the trace-side definition of the Figure 10 breakdown: a
+    :class:`~repro.obs.telemetry.PhaseClock` mirrors each region it times
+    as one such span with the same duration, so summing a rank's phase spans
+    reproduces the clock's totals exactly.
     """
     totals: dict[str, float] = {}
     for ev in events:

@@ -74,23 +74,18 @@ from .storage import StorageArea
 
 __all__ = [
     "Scheduler",
-    "EXCHANGE_TAG_BASE",
-    "EXCHANGE_CTRL_TAG",
     "ROUND_TRANSITIONS",
     "TERMINAL_ROUND_STATES",
 ]
 
-# Tag space reserved for sample-exchange rounds: one tag per round within an
-# epoch, plus an epoch-parity bit.  Ranks can be at most one epoch apart
-# (synchronize() blocks until all sources posted), so parity plus per-channel
-# FIFO matching keeps epochs unambiguous.  Allocated centrally in
-# repro.mpi.tags; the module-level constants remain for compatibility.
-EXCHANGE_TAG_BASE = EXCHANGE_DATA.base
+# Tags (allocated centrally in repro.mpi.tags): EXCHANGE_DATA gives one tag
+# per round within an epoch, plus an epoch-parity bit.  Ranks can be at most
+# one epoch apart (synchronize() blocks until all sources posted), so parity
+# plus per-channel FIFO matching keeps epochs unambiguous.  The reliable
+# exchange's ACK/NACK control plane uses EXCHANGE_CTRL, one tag per epoch
+# parity, outside the data-round range so a control message can never be
+# matched by a data irecv.
 _EPOCH_PARITY_BIT = PARITY_BIT
-# Control plane of the reliable exchange: ACK/NACK messages, one tag per
-# epoch parity.  Kept outside the data-round tag range so a control message
-# can never be matched by a data irecv.
-EXCHANGE_CTRL_TAG = EXCHANGE_CTRL.base
 
 #: The reliable-exchange round state machine, as an explicit transition
 #: table keyed ``(side, state, event) -> new state``.  This is the

@@ -8,11 +8,12 @@ flat, collective wait absorbing stragglers) can be observed rather than
 modelled.  Absolute numbers reflect this machine, not ABCI; the *shape*
 is the reproducible object.
 
-Since the ``repro.obs`` subsystem landed, this measurement is a *view over
-the trace*: each phase region is recorded as a ``cat="phase"`` tracer span
-and the totals are derived with :func:`repro.obs.phase_totals`, so the
-Figure 10 numbers and a Chrome-trace export of the same run can never
-disagree.
+The measurement runs the trainer's own iteration core (the one
+:func:`~repro.train.trainer.train_worker` runs) and is a *view over the
+trace*: the core's :class:`~repro.obs.telemetry.PhaseClock` records each
+phase region as a ``cat="phase"`` tracer span and the totals are derived
+with :func:`repro.obs.phase_totals`, so the Figure 10 numbers and a
+Chrome-trace export of the same run can never disagree.
 """
 
 from __future__ import annotations
@@ -23,14 +24,14 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.mpi.communicator import Communicator
-from repro.nn import functional as F
 from repro.nn.optim import SGD
-from repro.nn.tensor import Tensor
 from repro.obs.merge import phase_totals
+from repro.obs.telemetry import PhaseClock
 from repro.obs.tracer import Tracer
 from repro.shuffle.base import ShuffleStrategy
 
-from .distributed import allreduce_gradients, broadcast_model
+from .distributed import broadcast_model
+from .trainer import _iterate
 
 __all__ = ["PhaseBreakdownResult", "measure_phase_breakdown"]
 
@@ -87,10 +88,12 @@ def measure_phase_breakdown(
     * GE+WU        — gradient allreduce (includes waiting for stragglers)
                      and the optimiser update.
 
-    Every phase region is a ``cat="phase"`` span on ``tracer`` (the rank's
-    ``comm.tracer`` when enabled, else a private one) and the totals are
-    *derived from those spans*, so exporting the tracer yields a trace whose
-    phase accounting is identical to the returned result.  Pass an explicit
+    The epochs run the trainer's iteration core under a
+    :class:`~repro.obs.telemetry.PhaseClock` on ``tracer`` (the rank's
+    ``comm.tracer`` when enabled, else a private one).  Every phase region
+    becomes a ``cat="phase"`` span there and the totals are *derived from
+    those spans*, so exporting the tracer yields a trace whose phase
+    accounting is identical to the returned result.  Pass an explicit
     ``tracer`` to keep the events for export.
 
     The result is allreduce-averaged across ranks so every rank returns the
@@ -105,28 +108,9 @@ def measure_phase_breakdown(
     # this measurement); only the spans recorded here count.
     events_start = len(tracer.events)
 
+    clock = PhaseClock(tracer)
     for epoch in range(epochs):
-        with tracer.span("exchange", cat="phase"):
-            strategy.begin_epoch(epoch)
-        loader = strategy.epoch_loader(epoch, batch_size)
-        iters = comm.allreduce(len(loader), op=min)
-        it = iter(loader)
-        model.train()
-        for _ in range(iters):
-            with tracer.span("io", cat="phase"):
-                xb, yb = next(it)
-            with tracer.span("fw_bw", cat="phase"):
-                logits = model(Tensor(np.asarray(xb, dtype=np.float32)))
-                loss = F.cross_entropy(logits, yb)
-                model.zero_grad()
-                loss.backward()
-            with tracer.span("ge_wu", cat="phase"):
-                allreduce_gradients(model, comm)
-                optimizer.step()
-            with tracer.span("exchange", cat="phase"):
-                strategy.on_iteration()
-        with tracer.span("exchange", cat="phase"):
-            strategy.end_epoch()
+        _iterate(comm, strategy, model, optimizer, clock, epoch, batch_size)
 
     totals = phase_totals(tracer.events[events_start:])
     phases = np.array(

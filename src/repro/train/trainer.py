@@ -6,12 +6,17 @@ stay consistent through an initial broadcast plus per-iteration gradient
 allreduce (Eq. 1), the strategy's ``on_iteration`` hook overlaps the PLS
 sample exchange with compute (Figure 4), and validation accuracy is
 measured per epoch — the Y axis of every accuracy figure in the paper.
+
+``_iterate`` is the only place a training iteration is written: the
+elastic and lifecycle trainers run the same ``_run_epoch`` with
+failure-injection checks, and ``measure_phase_breakdown`` drives
+``_iterate`` directly.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,6 +88,175 @@ def _build_optimizer(config: TrainConfig, model, workers: int):
     )
 
 
+def _build_schedule(config: TrainConfig, optimizer):
+    schedule = MultiStepLR(
+        optimizer, milestones=list(config.lr_milestones), gamma=config.lr_gamma
+    )
+    if config.warmup_epochs:
+        schedule = WarmupWrapper(schedule, config.warmup_epochs)
+    return schedule
+
+
+def _setup(comm, config: TrainConfig, strategy, train_dataset, labels, model=None):
+    """A fresh run's replicated state: ``(model, optimizer, schedule)``.
+
+    Rank 0's weights (``model``, else a freshly built one) are broadcast
+    and the strategy takes its initial shard.
+    """
+    if model is None:
+        model = build_model(
+            config.model,
+            in_shape=config.in_shape,
+            num_classes=config.num_classes,
+            seed=config.seed,
+            norm=config.norm,
+        )
+    broadcast_model(model, comm)
+    strategy.setup(
+        comm, train_dataset,
+        labels=labels, partition=config.partition, seed=config.seed,
+    )
+    optimizer = _build_optimizer(config, model, comm.size)
+    return model, optimizer, _build_schedule(config, optimizer)
+
+
+def _no_check(point: str) -> None:
+    """Default failure-injection hook: no rank dies."""
+
+
+def _iterate(
+    comm: Communicator,
+    strategy: ShuffleStrategy,
+    model,
+    optimizer,
+    clock: PhaseClock,
+    epoch: int,
+    batch_size: int,
+    check=_no_check,
+) -> tuple[float, int]:
+    """One epoch of the Figure-3 iteration; returns ``(mean loss, samples)``.
+
+    Every region is timed by ``clock`` under its Figure 10 phase (io /
+    exchange / fw_bw / ge_wu), so a traced run's ``cat="phase"`` spans, the
+    always-on telemetry and ``measure_phase_breakdown`` all read the same
+    instrument.  ``check(point)`` runs at ``"begin"``, ``"mid_exchange"``
+    (step ``iters // 2``) and ``"end"``: the elastic trainers inject rank
+    deaths there.
+    """
+    tr = clock.tracer
+    check("begin")
+    with clock.phase("exchange"):
+        strategy.begin_epoch(epoch)
+    loader = strategy.epoch_loader(epoch, batch_size)
+    # Every rank must run the same number of iterations or the gradient
+    # allreduce deadlocks; take the collective minimum.
+    iters = comm.allreduce(len(loader), op=min)
+    loss_avg = RunningAverage()
+    samples = 0
+    model.train()
+    it = iter(loader)
+    mid = iters // 2
+    for i in range(iters):
+        if i == mid:
+            check("mid_exchange")
+        with clock.phase("io"):
+            xb, yb = next(it)
+        with clock.phase("fw_bw"):
+            logits = model(Tensor(np.asarray(xb, dtype=np.float32)))
+            loss = F.cross_entropy(logits, yb)
+            model.zero_grad()
+            loss.backward()
+        with clock.phase("ge_wu"):
+            # ``allreduce_gradients`` here and ``broadcast_model`` in
+            # ``_setup`` are looked up in this module's globals at call
+            # time, never bound locally: the end-to-end benchmark's probe
+            # rebinds those two names to time them.
+            if tr.enabled:
+                t0 = time.perf_counter()
+                allreduce_gradients(model, comm)
+                tr.metrics.histogram("train.straggler_wait_s").observe(
+                    time.perf_counter() - t0
+                )
+            else:
+                allreduce_gradients(model, comm)
+            optimizer.step()
+        with clock.phase("exchange"):
+            strategy.on_iteration()
+        loss_avg.update(loss.item(), weight=len(yb))
+        samples += len(yb)
+    check("end")
+    with clock.phase("exchange"):
+        strategy.end_epoch()
+    return loss_avg.value, samples
+
+
+def _run_epoch(
+    comm: Communicator,
+    config: TrainConfig,
+    strategy: ShuffleStrategy,
+    model,
+    optimizer,
+    schedule,
+    epoch: int,
+    val_X: np.ndarray,
+    val_y: np.ndarray,
+    *,
+    check=_no_check,
+) -> EpochRecord:
+    """Train, validate and report one epoch; every rank returns the same
+    record (see :func:`_iterate` for ``check``)."""
+    tr = comm.tracer
+    clock = PhaseClock(tr)
+    lr = schedule.step(epoch)
+    with tr.span("epoch", cat="train", epoch=epoch, lr=lr):
+        local_loss, samples = _iterate(
+            comm, strategy, model, optimizer, clock, epoch, config.batch_size,
+            check,
+        )
+        if config.sync_batchnorm_stats:
+            with clock.phase("ge_wu"):
+                allreduce_batchnorm_stats(model, comm)
+        # Validation on rank 0 (replicas are identical after the reduce),
+        # then shared with everyone.
+        with tr.span("validate", cat="train"):
+            if comm.rank == 0:
+                val_acc, _val_loss = evaluate(model, val_X, val_y)
+            else:
+                val_acc = None
+            val_acc = comm.bcast(val_acc, root=0)
+        # Always-on telemetry: record the epoch's phase breakdown in the
+        # flight ring and push it (plus local loss and exchange health)
+        # to the aggregator.  Pushed *before* the mean-loss allreduce:
+        # that collective is a barrier, so rank 0 passing it proves every
+        # peer's push of this epoch is already deposited.
+        flight = comm.flight
+        if flight.enabled:
+            phases = clock.take()
+            flight.record("epoch.phases", epoch=epoch, **phases)
+            metrics = {f"phase.{k}_s": v for k, v in phases.items()}
+            metrics["train.loss"] = local_loss
+            sched = getattr(strategy, "scheduler", None)
+            if sched is not None:
+                metrics["exchange.q_deficit"] = sched.q_deficit
+            metrics["pool.in_use"] = comm.pool.stats()["in_use"]
+            push_metrics(comm, epoch, metrics)
+        mean_loss = comm.allreduce(local_loss) / comm.size
+        total_samples = comm.allreduce(samples)
+    if tr.enabled:
+        tr.metrics.gauge("train.loss").set(mean_loss)
+        tr.metrics.gauge("train.val_accuracy").set(val_acc)
+        tr.metrics.counter("train.samples_seen").inc(samples)
+        tr.counter("train.loss", mean_loss, cat="train")
+        tr.counter("train.val_accuracy", val_acc, cat="train")
+    return EpochRecord(
+        epoch=epoch,
+        train_loss=mean_loss,
+        val_accuracy=val_acc,
+        lr=lr,
+        samples_seen=total_samples,
+    )
+
+
 def train_worker(
     comm: Communicator,
     config: TrainConfig,
@@ -115,25 +289,9 @@ def train_worker(
     uninterrupted run (everything epoch-dependent derives from
     ``(seed, epoch)``).
     """
-    if model is None:
-        model = build_model(
-            config.model,
-            in_shape=config.in_shape,
-            num_classes=config.num_classes,
-            seed=config.seed,
-            norm=config.norm,
-        )
-    broadcast_model(model, comm)
-
-    strategy.setup(
-        comm, train_dataset,
-        labels=labels, partition=config.partition, seed=config.seed,
+    model, optimizer, schedule = _setup(
+        comm, config, strategy, train_dataset, labels, model
     )
-
-    optimizer = _build_optimizer(config, model, comm.size)
-    schedule = MultiStepLR(optimizer, milestones=list(config.lr_milestones), gamma=config.lr_gamma)
-    if config.warmup_epochs:
-        schedule = WarmupWrapper(schedule, config.warmup_epochs)
 
     history = RunHistory(strategy=strategy.name, workers=comm.size)
     start_epoch = 0
@@ -152,95 +310,11 @@ def train_worker(
             start_epoch = ckpt.epoch + 1
             strategy.fast_forward(start_epoch)
 
-    # Per-rank observability: phase regions follow the Figure 10 accounting
-    # (io / exchange / fw_bw / ge_wu).  The PhaseClock accumulates them
-    # always-on (feeding the flight ring and the telemetry push) and mirrors
-    # each region as a cat="phase" span whenever tracing is enabled, so a
-    # traced run yields the same breakdown `measure_phase_breakdown`
-    # reports; loss/accuracy land in gauges and the allreduce's straggler
-    # wait in a histogram.
-    tr = comm.tracer
-    clock = PhaseClock(tr)
-    flight = comm.flight
     for epoch in range(start_epoch, config.epochs):
-        lr = schedule.step(epoch)
-        with tr.span("epoch", cat="train", epoch=epoch, lr=lr):
-            with clock.phase("exchange"):
-                strategy.begin_epoch(epoch)
-            loader = strategy.epoch_loader(epoch, config.batch_size)
-            # Every rank must run the same number of iterations or the gradient
-            # allreduce deadlocks; take the collective minimum.
-            iters = comm.allreduce(len(loader), op=min)
-            loss_avg = RunningAverage()
-            samples = 0
-            model.train()
-            it = iter(loader)
-            for _ in range(iters):
-                with clock.phase("io"):
-                    xb, yb = next(it)
-                with clock.phase("fw_bw"):
-                    logits = model(Tensor(np.asarray(xb, dtype=np.float32)))
-                    loss = F.cross_entropy(logits, yb)
-                    model.zero_grad()
-                    loss.backward()
-                with clock.phase("ge_wu"):
-                    if tr.enabled:
-                        t0 = time.perf_counter()
-                        allreduce_gradients(model, comm)
-                        tr.metrics.histogram("train.straggler_wait_s").observe(
-                            time.perf_counter() - t0
-                        )
-                    else:
-                        allreduce_gradients(model, comm)
-                    optimizer.step()
-                with clock.phase("exchange"):
-                    strategy.on_iteration()
-                loss_avg.update(loss.item(), weight=len(yb))
-                samples += len(yb)
-            with clock.phase("exchange"):
-                strategy.end_epoch()
-
-            if config.sync_batchnorm_stats:
-                with clock.phase("ge_wu"):
-                    allreduce_batchnorm_stats(model, comm)
-            # Validation on rank 0 (replicas are identical after the reduce),
-            # then shared with everyone.
-            with tr.span("validate", cat="train"):
-                if comm.rank == 0:
-                    val_acc, _val_loss = evaluate(model, val_X, val_y)
-                else:
-                    val_acc = None
-                val_acc = comm.bcast(val_acc, root=0)
-            # Always-on telemetry: record the epoch's phase breakdown in the
-            # flight ring and push it (plus local loss and exchange health)
-            # to the aggregator.  Pushed *before* the mean-loss allreduce:
-            # that collective is a barrier, so rank 0 passing it proves every
-            # peer's push of this epoch is already deposited.
-            if flight.enabled:
-                phases = clock.take()
-                flight.record("epoch.phases", epoch=epoch, **phases)
-                metrics = {f"phase.{k}_s": v for k, v in phases.items()}
-                metrics["train.loss"] = loss_avg.value
-                sched = getattr(strategy, "scheduler", None)
-                if sched is not None:
-                    metrics["exchange.q_deficit"] = sched.q_deficit
-                metrics["pool.in_use"] = comm.pool.stats()["in_use"]
-                push_metrics(comm, epoch, metrics)
-            mean_loss = comm.allreduce(loss_avg.value) / comm.size
-            total_samples = comm.allreduce(samples)
-        if tr.enabled:
-            tr.metrics.gauge("train.loss").set(mean_loss)
-            tr.metrics.gauge("train.val_accuracy").set(val_acc)
-            tr.metrics.counter("train.samples_seen").inc(samples)
-            tr.counter("train.loss", mean_loss, cat="train")
-            tr.counter("train.val_accuracy", val_acc, cat="train")
         history.add(
-            EpochRecord(
-                epoch=epoch,
-                train_loss=mean_loss,
-                val_accuracy=val_acc,
-                lr=lr,
-                samples_seen=total_samples,
+            _run_epoch(
+                comm, config, strategy, model, optimizer, schedule, epoch,
+                val_X, val_y,
             )
         )
         if (
@@ -262,7 +336,7 @@ def train_worker(
     # Final drain: rank 0's per-epoch drain ran *before* the last epoch's
     # barrier, so the peers' final pushes are still queued.  They are all
     # deposited by now (each peer pushed before entering that barrier).
-    if flight.enabled and comm.rank == 0:
+    if comm.flight.enabled and comm.rank == 0:
         drain_pending(comm)
     history.stats = strategy.stats()
     if return_model:

@@ -14,16 +14,16 @@ from repro.elastic import (
 from repro.mpi import RankDied, run_spmd
 from repro.shuffle import LocalShuffle, PartialLocalShuffle
 from repro.train.experiments import make_experiment_data
-from repro.train.trainer import TrainConfig
+from repro.train.trainer import TrainConfig, train_worker
 
 
-def make_setup(samples=240, classes=4, features=16, seed=0, epochs=4):
+def make_setup(samples=240, classes=4, features=16, seed=0, epochs=4, norm=None):
     spec = SyntheticSpec(samples, classes, n_features=features, seed=seed)
     train_ds, labels, val_X, val_y = make_experiment_data(spec)
     config = TrainConfig(
         model="mlp", in_shape=(features,), num_classes=classes,
         epochs=epochs, batch_size=8, base_lr=0.05,
-        partition="class_sorted", seed=seed,
+        partition="class_sorted", seed=seed, norm=norm,
     )
     return config, train_ds, labels, val_X, val_y
 
@@ -130,3 +130,71 @@ class TestElasticRun:
             return True
 
         assert run_spmd(worker, 1)[0] is True
+
+
+class TestElasticMatchesPlain:
+    """Without failures the elastic trainer *is* the plain trainer: both run
+    the trainer's one epoch core, so records and phase accounting agree."""
+
+    WORKERS = 3
+
+    def _run(self, trainer, tracing=False):
+        config, train_ds, labels, val_X, val_y = make_setup(
+            epochs=3, norm="batch"
+        )
+
+        def worker(comm):
+            strategy = PartialLocalShuffle(0.3, ledger=ReplicaLedger())
+            return trainer(
+                comm, config, strategy, train_ds, labels, val_X, val_y,
+            )
+
+        return run_spmd(
+            worker, self.WORKERS, copy_on_send=False, tracing=tracing,
+            deadline_s=300,
+        )
+
+    @staticmethod
+    def _records(history):
+        return [
+            (r.epoch, r.train_loss, r.val_accuracy, r.lr, r.samples_seen)
+            for r in history.records
+        ]
+
+    def test_failure_free_elastic_run_equals_plain_run(self):
+        plain = self._run(train_worker)
+        elastic = self._run(elastic_train_worker)
+        assert len(plain[0].records) == 3
+        assert self._records(elastic[0]) == self._records(plain[0])
+        assert elastic[0].stats["recoveries"] == []
+
+    def test_phase_accounting_identical(self):
+        """Each epoch's ge_wu span count (steps plus the BN-stat sync) and
+        the straggler histogram agree between the two trainers."""
+
+        def ge_wu_per_epoch(tracer):
+            epochs = [
+                ev for ev in tracer.events
+                if ev.cat == "train" and ev.name == "epoch"
+            ]
+            return [
+                sum(
+                    1 for ev in tracer.events
+                    if ev.cat == "phase" and ev.name == "ge_wu"
+                    and ep.ts <= ev.ts <= ep.ts + ep.dur
+                )
+                for ep in epochs
+            ]
+
+        def straggler_count(tracer):
+            return tracer.metrics.histogram("train.straggler_wait_s").count
+
+        plain = self._run(train_worker, tracing=True)
+        elastic = self._run(elastic_train_worker, tracing=True)
+        for rank in range(self.WORKERS):
+            counts = ge_wu_per_epoch(plain.tracers[rank])
+            assert len(counts) == 3 and min(counts) > 1
+            assert ge_wu_per_epoch(elastic.tracers[rank]) == counts
+            assert straggler_count(elastic.tracers[rank]) == straggler_count(
+                plain.tracers[rank]
+            ) > 0

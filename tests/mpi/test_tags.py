@@ -107,24 +107,12 @@ class TestTagArithmetic:
 
 
 class TestMirroredConstants:
-    """Modules that cannot import the registry (or keep compat aliases)
-    must stay in sync with it."""
+    """Modules that cannot import the registry must stay in sync with it."""
 
     def test_telemetry_tag_mirror(self):
         from repro.obs.telemetry.aggregate import TELEMETRY_TAG
 
         assert TELEMETRY_TAG == TELEMETRY.base
-
-    def test_scheduler_compat_aliases(self):
-        from repro.shuffle import scheduler
-
-        assert scheduler.EXCHANGE_TAG_BASE == EXCHANGE_DATA.base
-        assert scheduler.EXCHANGE_CTRL_TAG == EXCHANGE_CTRL.base
-
-    def test_recovery_compat_alias(self):
-        from repro.elastic.recovery import RECOVERY_TAG_BASE
-
-        assert RECOVERY_TAG_BASE == RECOVERY.base
 
     def test_collective_algorithm_tags_disjoint(self):
         # The pre-registry values had tree/barrier *inside* the ring's

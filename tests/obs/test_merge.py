@@ -1,7 +1,6 @@
 """Multi-rank trace merge: determinism, byte accounting, overlap report."""
 
 import numpy as np
-import pytest
 
 from repro.mpi import run_spmd
 from repro.obs import (
@@ -114,17 +113,14 @@ class TestPhaseTotals:
         assert per_rank[1] == {"io": 0.25}
 
     def test_phase_timer_equivalence(self):
-        """Summing a rank's phase spans reproduces a PhaseTimer wrapped
-        around the same regions — the timer is now a view over the trace."""
-        import time
-
-        from repro.utils import PhaseTimer
+        """Summing a rank's phase spans reproduces the PhaseClock that
+        emitted them exactly: both add up the same measured durations."""
+        from repro.obs.telemetry import PhaseClock
 
         tr = Tracer(rank=0)
-        timer = PhaseTimer()
-        for _ in range(3):
-            with timer.phase("io"), tr.span("io", cat="phase"):
-                time.sleep(0.002)
-        trace_total = phase_totals(tr.events)["io"]
-        assert trace_total == pytest.approx(timer.total("io"), rel=0.2, abs=0.002)
-        assert len([ev for ev in tr.events if ev.name == "io"]) == timer.count("io")
+        clock = PhaseClock(tr)
+        for name in ("io", "fw_bw", "io", "ge_wu", "io"):
+            with clock.phase(name):
+                sum(range(1000))
+        assert phase_totals(tr.events) == clock.take()
+        assert len([ev for ev in tr.events if ev.name == "io"]) == 3
