@@ -153,11 +153,6 @@ class ShardRecovery:
                 )
             sp.set(refetched=len(assignments), bytes=nbytes)
         wall = time.perf_counter() - t0
-        if tr.enabled:
-            tr.metrics.counter("elastic.recoveries").inc()
-            tr.metrics.counter("elastic.samples_refetched").inc(len(assignments))
-            tr.metrics.counter("elastic.recovery_bytes").inc(nbytes)
-            tr.metrics.counter("elastic.pfs_reads").inc(from_source)
         return RecoveryReport(
             dead_ranks=dead_ranks,
             lost_gids=len(lost),

@@ -266,10 +266,6 @@ class RankRejoin:
             self._shrink_capacity()
             sp.set(moved=len(plan), bytes=nbytes)
         wall = time.perf_counter() - t0
-        if tr.enabled:
-            tr.metrics.counter("elastic.rejoins").inc()
-            tr.metrics.counter("elastic.samples_rebalanced").inc(len(plan))
-            tr.metrics.counter("elastic.rejoin_bytes").inc(nbytes)
         return RejoinReport(
             joiners=joiners,
             moved_gids=len(plan),

@@ -215,9 +215,6 @@ def _recover(
         survivors=len(newcomm.group),
         wall_s=report.wall_s,
     )
-    if tr.enabled:
-        tr.metrics.histogram("elastic.detection_latency_s").observe(detection_s)
-        tr.metrics.histogram("elastic.recovery_wall_s").observe(report.wall_s)
     return newcomm, report
 
 

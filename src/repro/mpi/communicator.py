@@ -135,17 +135,13 @@ class Communicator:
     def count_copy(self, nbytes: int) -> None:
         """Charge a payload copy of ``nbytes`` to this rank.
 
-        Feeds the world's deterministic ``bytes_copied`` counters and, when
-        tracing, the ``comm.copies`` / ``comm.bytes_copied`` metrics — the
-        numbers the fast-path benchmark gates on.  Called by the message
-        layer for send-time buffering and by the scheduler for checksum
-        ``tobytes()`` walks and pack gathers.
+        Feeds the world's deterministic ``copies`` / ``bytes_copied``
+        counters, the only record of copies and the numbers the fast-path
+        benchmark gates on.  Called by the message layer for send-time
+        buffering and by the scheduler for checksum ``tobytes()`` walks and
+        pack gathers.
         """
         self.world.count_copy(self._world_rank, nbytes)
-        tr = self.tracer
-        if tr.enabled:
-            tr.metrics.counter("comm.copies").inc()
-            tr.metrics.counter("comm.bytes_copied").inc(nbytes)
 
     def _to_world(self, local: int) -> int:
         if local == ANY_SOURCE:
@@ -220,8 +216,6 @@ class Communicator:
             nb = payload_nbytes(obj)
             with tr.span("isend", cat="comm.p2p", peer=dest, tag=tag, nbytes=nb):
                 req = self._post_send(obj, dest, tag)
-            tr.metrics.counter("comm.p2p.msgs_sent").inc()
-            tr.metrics.counter("comm.p2p.bytes_sent").inc(nb)
             return self._track_request(req)
         return self._track_request(self._post_send(obj, dest, tag))
 
@@ -251,10 +245,8 @@ class Communicator:
         if tr.enabled:
             with tr.span("recv", cat="comm.p2p", peer=source, tag=tag) as sp:
                 msg = self._take_msg(source, tag)
-                nb = payload_nbytes(msg.payload)
-                sp.set(src=self._from_world(msg.source), nbytes=nb)
-            tr.metrics.counter("comm.p2p.msgs_recv").inc()
-            tr.metrics.counter("comm.p2p.bytes_recv").inc(nb)
+                sp.set(src=self._from_world(msg.source),
+                       nbytes=payload_nbytes(msg.payload))
         else:
             msg = self._take_msg(source, tag)
         if status is not None:
@@ -315,12 +307,9 @@ class Communicator:
             # this rank's synchronisation (straggler) time for the call.
             nb = 0 if contribution is None else payload_nbytes(contribution)
             with tr.span(f"coll.{op}", cat="comm.coll", op=op, gen=gen, nbytes=nb):
-                slots = self.world.rendezvous(
+                return self.world.rendezvous(
                     key, self._local_rank, contribution, group=self.group
                 )
-            tr.metrics.counter("comm.coll.calls").inc()
-            tr.metrics.counter("comm.coll.bytes_contrib").inc(nb)
-            return slots
         return self.world.rendezvous(
             key, self._local_rank, contribution, group=self.group
         )

@@ -199,8 +199,9 @@ class BufferPool:
             )
 
     def stats(self) -> dict:
-        """Plain-dict accounting snapshot (feeds BENCH_exchange.json and
-        the ``pool.*`` metrics gauges the scheduler emits when traced)."""
+        """Plain-dict accounting snapshot (feeds BENCH_exchange.json, the
+        ``pool.in_use`` telemetry push and the ``epoch.commit`` flight
+        event)."""
         with self._lock:
             return {
                 "name": self.name,

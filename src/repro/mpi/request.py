@@ -113,10 +113,7 @@ class RecvRequest(Request):
             with tr.span("irecv.wait", cat="comm.p2p", peer=self.source,
                          tag=self.tag) as sp:
                 msg = self._world.take_blocking(self._rank, self.source, self.tag)
-                nb = payload_nbytes(msg.payload)
-                sp.set(src=msg.source, nbytes=nb)
-            tr.metrics.counter("comm.p2p.msgs_recv").inc()
-            tr.metrics.counter("comm.p2p.bytes_recv").inc(nb)
+                sp.set(src=msg.source, nbytes=payload_nbytes(msg.payload))
         else:
             msg = self._world.take_blocking(self._rank, self.source, self.tag)
         self._complete(msg)

@@ -5,8 +5,9 @@ The subsystem the paper's measurements hang off:
 * :class:`Tracer` / :class:`TraceEvent` — per-rank spans + instant events
   with monotonic timestamps; :data:`NULL_TRACER` is the zero-overhead
   disabled default every instrumented layer points at until a run opts in.
-* :class:`MetricsRegistry` — counters / gauges / histograms for totals that
-  don't need one event per observation.
+* :class:`MetricsRegistry` — counters / gauges / histograms; the serve
+  tier's registry (``ShardServer.telemetry_snapshot``).  Tracers keep no
+  registry: each traced number lives in one event stream.
 * Exporters — lossless JSONL and Chrome trace-event JSON (one ``pid`` per
   rank; opens directly in ``chrome://tracing`` / Perfetto).
 * Merge + summary — cross-rank timeline reconstruction (Figure 4 overlap),

@@ -1,19 +1,18 @@
-"""Counters, gauges and histograms for per-rank runtime metrics.
+"""Counters, gauges and histograms: the serve tier's runtime metrics.
 
-The tracer answers *when*; the registry answers *how much in total* —
-bytes sent per peer, loss per epoch, allreduce wait distributions — without
-the cost of storing one event per observation.  Instruments are
-created-on-first-use (Prometheus style) so instrumented code never has to
-declare them up front::
+``ShardServer`` owns one registry and reads it back in
+``telemetry_snapshot()``: per-tenant request totals and latency
+distributions, without the cost of storing one event per observation.
+Instruments are created-on-first-use (Prometheus style) so instrumented
+code never has to declare them up front::
 
     reg = MetricsRegistry()
-    reg.counter("comm.p2p.bytes_sent").inc(4096)
-    reg.gauge("train.loss").set(0.41)
-    reg.histogram("train.straggler_wait_s").observe(0.002)
+    reg.counter("serve.tenant.a.served").inc()
+    reg.histogram("serve.tenant.a.latency_s").observe(0.002)
     reg.snapshot()  # plain-dict view for export / assertions
 
-All instruments are thread-safe: ranks are threads and a registry may be
-shared across them (e.g. one registry per rank but a shared one in tests).
+All instruments are thread-safe: a server's worker threads share one
+registry.
 ``snapshot()`` holds each instrument's lock while reading it, so a value
 observed mid-``inc``/mid-``observe`` can never tear (a histogram whose
 ``count`` was bumped but whose ``sum`` was not yet).

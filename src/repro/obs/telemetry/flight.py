@@ -41,9 +41,12 @@ __all__ = [
 #: Schema tag written into every dump.
 FLIGHT_SCHEMA = "repro.obs.flight/v1"
 
-#: Events retained per rank.  A reliable-exchange round emits ~4 events
-#: (post / verified / ack / commit share), so 512 covers the last ~100
-#: rounds plus epoch markers — several epochs of context at ~100 B/event.
+#: Events retained per rank.  A clean reliable-exchange round records 3
+#: events (``round.post`` / ``round.verified`` / ``round.ack``) and each
+#: epoch adds 2 (``exchange.plan`` / ``epoch.commit``), so 512 events hold
+#: the last ~170 rounds.  That is a window into the current epoch, not
+#: several epochs: a rank posting 1229 rounds per epoch (4096 samples at
+#: Q=0.3, one sample per round) keeps about 14% of one epoch.
 DEFAULT_FLIGHT_CAPACITY = 512
 
 #: Environment variable naming the directory dumps are written to.

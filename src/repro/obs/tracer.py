@@ -26,8 +26,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from .metrics import MetricsRegistry
-
 __all__ = ["TraceEvent", "Tracer", "NullTracer", "NULL_TRACER"]
 
 # Chrome trace-event phase codes used by this tracer.
@@ -177,21 +175,11 @@ class Tracer:
     enabled:
         When False every recording call is a no-op (see module docstring for
         the overhead contract).
-    metrics:
-        Optional shared :class:`~repro.obs.metrics.MetricsRegistry`; a
-        private one is created by default.
     """
 
-    def __init__(
-        self,
-        rank: int = 0,
-        *,
-        enabled: bool = True,
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
+    def __init__(self, rank: int = 0, *, enabled: bool = True) -> None:
         self.rank = rank
         self.enabled = enabled
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._events: list[TraceEvent] = []
         self._tid_lock = threading.Lock()
         self._tid_map: dict[int, int] = {}
@@ -294,7 +282,7 @@ class Tracer:
         return iter(self._events)
 
     def clear(self) -> None:
-        """Drop all recorded events (metrics are left untouched)."""
+        """Drop all recorded events."""
         self._events = []
 
 
@@ -310,11 +298,12 @@ class NullTracer:
     rank = -1
     events: tuple[TraceEvent, ...] = ()
 
-    def __init__(self) -> None:
-        self.metrics = MetricsRegistry()
-
     def span(self, name: str, cat: str = "", **args: Any) -> _NullSpan:
         """Return the shared no-op span."""
+        return _NULL_SPAN
+
+    def suspended(self) -> _NullSpan:
+        """Return the shared no-op span: there is no recording to pause."""
         return _NULL_SPAN
 
     def complete(

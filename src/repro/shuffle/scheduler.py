@@ -570,8 +570,6 @@ class Scheduler:
                             nbytes=nbytes,
                         ):
                             pass
-                        tr.metrics.counter("comm.p2p.msgs_sent").inc()
-                        tr.metrics.counter("comm.p2p.bytes_sent").inc(nbytes)
                     self._recv_reqs.append(st.recv_req)
                     self._rounds.append(st)
                 else:
@@ -636,11 +634,6 @@ class Scheduler:
                 self.total_recv_samples += len(self._received)
 
     # ----------------------------------------------------- reliable protocol
-    def _metric_inc(self, name: str, n: int = 1) -> None:
-        tr = self.tracer
-        if tr.enabled:
-            tr.metrics.counter(name).inc(n)
-
     def _unrecovered(self, message: str, **fields) -> None:
         """Give up on the exchange: record, dump the flight log, raise.
 
@@ -723,7 +716,6 @@ class Scheduler:
                 kind, ep, idx = self.comm.recv(source=ANY_SOURCE, tag=ctrl_tag)
             if ep != self.epoch or not 0 <= idx < len(self._rounds):
                 self.stale_discards += 1
-                self._metric_inc("exchange.stale_discards")
                 continue
             st = self._rounds[idx]
             if kind == "ack":
@@ -750,7 +742,6 @@ class Scheduler:
                 st.advance("send", "nack")
                 self.resends += 1
                 self.resent_bytes += st.nbytes
-                self._metric_inc("exchange.resends")
                 self.flight.record(
                     "round.resend",
                     epoch=self.epoch,
@@ -787,7 +778,6 @@ class Scheduler:
             # or a resend that raced a deadline): discard, keep listening.
             st.advance("recv", "data_stale")
             self.stale_discards += 1
-            self._metric_inc("exchange.stale_discards")
             self.flight.record(
                 "round.stale", epoch=self.epoch, round=st.index, got=(ep, idx)
             )
@@ -815,7 +805,6 @@ class Scheduler:
                 )
         else:
             self.crc_rejects += 1
-            self._metric_inc("exchange.crc_rejects")
             self.flight.record(
                 "round.crc_reject", epoch=self.epoch, round=st.index, peer=st.src
             )
@@ -836,7 +825,6 @@ class Scheduler:
             )
         if timed_out:
             self.timeout_nacks += 1
-            self._metric_inc("exchange.timeout_nacks")
         self.flight.record(
             "round.nack",
             epoch=self.epoch,
@@ -924,8 +912,6 @@ class Scheduler:
                     nbytes=st.nbytes,
                 ):
                     pass
-                tr.metrics.counter("comm.p2p.msgs_recv").inc()
-                tr.metrics.counter("comm.p2p.bytes_recv").inc(st.nbytes)
         received: list[tuple[np.ndarray, int, int | None]] = []
         for st in kept:
             if isinstance(st.payload, PackedBatch):
@@ -953,13 +939,11 @@ class Scheduler:
         planned_samples = sum(st.samples for st in self._rounds)
         short = planned_samples - committed_samples
         self.q_deficit = self.q_deficit - self._planned_extra + short
-        if committed < rounds:
-            self.degraded_epochs += 1
-            self._metric_inc("exchange.degraded_epochs")
         self.effective_q.append(
             committed_samples / self._n_local if self._n_local else 0.0
         )
         if committed < rounds:
+            self.degraded_epochs += 1
             self.flight.record(
                 "epoch.rollback",
                 epoch=self.epoch,
@@ -975,17 +959,6 @@ class Scheduler:
             q_deficit=self.q_deficit,
             pool_in_use=self.comm.pool.stats()["in_use"],
         )
-        tr = self.tracer
-        if tr.enabled:
-            tr.metrics.gauge("exchange.q_deficit").set(self.q_deficit)
-            # Pool health after settlement.  The pool is world-shared, so
-            # these gauges are observational (cross-rank interleaving may
-            # vary), unlike the deterministic per-rank copy counters.
-            pool = self.comm.pool.stats()
-            tr.metrics.gauge("pool.in_use").set(pool["in_use"])
-            tr.metrics.gauge("pool.hits").set(pool["hits"])
-            tr.metrics.gauge("pool.misses").set(pool["misses"])
-            tr.metrics.gauge("pool.high_water").set(pool["high_water"])
         sp.set(
             samples=len(self._received),
             committed_rounds=committed,

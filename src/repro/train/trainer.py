@@ -15,7 +15,6 @@ failure-injection checks, and ``measure_phase_breakdown`` drives
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,7 +142,6 @@ def _iterate(
     (step ``iters // 2``) and ``"end"``: the elastic trainers inject rank
     deaths there.
     """
-    tr = clock.tracer
     check("begin")
     with clock.phase("exchange"):
         strategy.begin_epoch(epoch)
@@ -171,14 +169,7 @@ def _iterate(
             # ``_setup`` are looked up in this module's globals at call
             # time, never bound locally: the end-to-end benchmark's probe
             # rebinds those two names to time them.
-            if tr.enabled:
-                t0 = time.perf_counter()
-                allreduce_gradients(model, comm)
-                tr.metrics.histogram("train.straggler_wait_s").observe(
-                    time.perf_counter() - t0
-                )
-            else:
-                allreduce_gradients(model, comm)
+            allreduce_gradients(model, comm)
             optimizer.step()
         with clock.phase("exchange"):
             strategy.on_iteration()
@@ -243,9 +234,6 @@ def _run_epoch(
         mean_loss = comm.allreduce(local_loss) / comm.size
         total_samples = comm.allreduce(samples)
     if tr.enabled:
-        tr.metrics.gauge("train.loss").set(mean_loss)
-        tr.metrics.gauge("train.val_accuracy").set(val_acc)
-        tr.metrics.counter("train.samples_seen").inc(samples)
         tr.counter("train.loss", mean_loss, cat="train")
         tr.counter("train.val_accuracy", val_acc, cat="train")
     return EpochRecord(

@@ -170,31 +170,40 @@ class TestElasticMatchesPlain:
 
     def test_phase_accounting_identical(self):
         """Each epoch's ge_wu span count (steps plus the BN-stat sync) and
-        the straggler histogram agree between the two trainers."""
+        its count of collectives nested in ge_wu (the straggler waits)
+        agree between the two trainers."""
 
-        def ge_wu_per_epoch(tracer):
+        def per_epoch(tracer, events):
             epochs = [
                 ev for ev in tracer.events
                 if ev.cat == "train" and ev.name == "epoch"
             ]
             return [
-                sum(
-                    1 for ev in tracer.events
-                    if ev.cat == "phase" and ev.name == "ge_wu"
-                    and ep.ts <= ev.ts <= ep.ts + ep.dur
-                )
+                sum(1 for ev in events if ep.ts <= ev.ts <= ep.end)
                 for ep in epochs
             ]
 
-        def straggler_count(tracer):
-            return tracer.metrics.histogram("train.straggler_wait_s").count
+        def ge_wu_spans(tracer):
+            return [
+                ev for ev in tracer.events
+                if ev.cat == "phase" and ev.name == "ge_wu"
+            ]
+
+        def colls_in_ge_wu(tracer):
+            phases = ge_wu_spans(tracer)
+            return [
+                ev for ev in tracer.events
+                if ev.cat == "comm.coll"
+                and any(ph.ts <= ev.ts and ev.end <= ph.end for ph in phases)
+            ]
 
         plain = self._run(train_worker, tracing=True)
         elastic = self._run(elastic_train_worker, tracing=True)
         for rank in range(self.WORKERS):
-            counts = ge_wu_per_epoch(plain.tracers[rank])
+            p_tr, e_tr = plain.tracers[rank], elastic.tracers[rank]
+            counts = per_epoch(p_tr, ge_wu_spans(p_tr))
             assert len(counts) == 3 and min(counts) > 1
-            assert ge_wu_per_epoch(elastic.tracers[rank]) == counts
-            assert straggler_count(elastic.tracers[rank]) == straggler_count(
-                plain.tracers[rank]
-            ) > 0
+            assert per_epoch(e_tr, ge_wu_spans(e_tr)) == counts
+            colls = per_epoch(p_tr, colls_in_ge_wu(p_tr))
+            assert min(colls) > 0
+            assert per_epoch(e_tr, colls_in_ge_wu(e_tr)) == colls

@@ -1,11 +1,16 @@
 """Tracer core: spans, nesting, instants, and the disabled fast path."""
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
-from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
-from repro.obs.tracer import _NULL_SPAN
+from repro.mpi.communicator import Communicator
+from repro.mpi.world import World
+from repro.obs import NULL_TRACER, Tracer
+from repro.obs.tracer import _NULL_SPAN, NullTracer
+from repro.shuffle import Scheduler, StorageArea
 
 
 class TestSpans:
@@ -86,6 +91,34 @@ class TestDisabledNoOp:
         assert len(NULL_TRACER) == 0
         assert list(NULL_TRACER) == []
 
+    def test_null_tracer_mirrors_tracer_surface(self):
+        """Code written against ``Tracer`` must run on the default wiring."""
+        public = {name for name in dir(Tracer) if not name.startswith("_")}
+        missing = {name for name in public if not hasattr(NullTracer, name)}
+        assert not missing
+
+    def test_hand_wired_exchange_runs_on_null_tracer(self):
+        """A ``Communicator`` built without a tracer points at
+        ``NULL_TRACER``; the reliable exchange suspends it around its wire
+        ops, so that must work on the null object too."""
+        world = World(2, copy_on_send=False)
+
+        def rank_main(rank):
+            comm = Communicator(world, rank)
+            assert comm.tracer is NULL_TRACER
+            storage = StorageArea()
+            rng = np.random.default_rng(rank)
+            for _ in range(8):
+                storage.add(rng.random(4).astype(np.float32), rank)
+            sched = Scheduler(storage, comm, fraction=0.5, seed=3)
+            sched.run_exchange(0)
+            return sched.total_sent_samples
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(rank_main, r) for r in range(2)]
+            sent = [f.result(timeout=60) for f in futures]
+        assert sent == [4, 4]
+
     def test_disabled_overhead_guard(self):
         """The disabled path must stay within noise of a bare loop.
 
@@ -116,18 +149,3 @@ class TestDisabledNoOp:
         assert len(tr.events) == 0
         assert gated < max(20 * baseline, 20e-6 * n)
         assert null_span < max(60 * baseline, 20e-6 * n)
-
-
-class TestMetricsAttachment:
-    def test_tracer_owns_registry_by_default(self):
-        tr = Tracer()
-        tr.metrics.counter("c").inc(2)
-        assert tr.metrics.snapshot()["counters"]["c"] == 2
-
-    def test_shared_registry(self):
-        reg = MetricsRegistry()
-        t1 = Tracer(rank=0, metrics=reg)
-        t2 = Tracer(rank=1, metrics=reg)
-        t1.metrics.counter("c").inc()
-        t2.metrics.counter("c").inc()
-        assert reg.counter("c").value == 2

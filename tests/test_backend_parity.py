@@ -65,6 +65,40 @@ def test_exchange_parity(backend, batched):
     assert got == ref
 
 
+def _traced_exchange_worker(comm):
+    """The seeded two-epoch exchange the trace-merge tests pin."""
+    storage = StorageArea()
+    rng = np.random.default_rng(7 + comm.rank)
+    for _ in range(8):
+        storage.add(rng.random(4).astype(np.float32), comm.rank)
+    sched = Scheduler(storage, comm, fraction=0.5, seed=7)
+    for epoch in range(2):
+        sched.run_exchange(epoch)
+    return sched.total_sent_bytes
+
+
+def test_trace_parity(backend):
+    """Per-rank traces survive the process boundary unchanged: the trace
+    is the one instrument ``repro trace`` and ``bytes_by_rank`` read."""
+
+    def run(bk):
+        result = run_spmd(
+            _traced_exchange_worker, 4, copy_on_send=False, tracing=True,
+            backend=bk,
+        )
+        return [
+            [(ev.name, ev.cat, ev.ph, ev.args) for ev in tr.events]
+            for tr in result.tracers
+        ]
+
+    got = run(backend)
+    ref = _once(
+        "trace", lambda: got if backend == "threads" else run("threads")
+    )
+    assert all(got)
+    assert got == ref
+
+
 def test_dead_peer_epitaph_crosses_backends(backend):
     def worker(comm):
         if comm.rank == 1:
