@@ -1,10 +1,11 @@
 """Benchmark harness for the exchange hot path (``repro bench``).
 
-Measures what the zero-copy batched exchange and the pooled data-loader
-buy over the original per-sample path, and writes machine-readable
-artifacts (``BENCH_exchange.json`` / ``BENCH_epoch.json``) the CI
-``bench-smoke`` job gates on.  See ``docs/performance.md`` for how to run
-it and how to read the numbers.
+Records the zero-copy exchange's exact counts (copies, pool traffic,
+shard checksums), what the pooled data loader buys over the default
+collate, and the other scenarios' ratios, and writes machine-readable
+artifacts (``BENCH_<scenario>.json``) the CI ``bench-smoke`` job gates
+on.  See ``docs/performance.md`` for how to run it and how to read the
+numbers.
 """
 
 from .backend import MIN_PROCS_SPEEDUP, bench_backend

@@ -1,6 +1,6 @@
-"""Threads-vs-procs backend comparison on the batched exchange hot path.
+"""Threads-vs-procs backend comparison on the exchange hot path.
 
-Runs the *same* zero-copy batched exchange (same seed, same plan, same
+Runs the *same* zero-copy exchange (same seed, same plan, same
 CRC/ACK protocol) once under each communicator backend and compares wall
 time.  The threads backend serialises compute-heavy sections behind the
 GIL; the ``procs`` backend runs ranks as real OS processes with
@@ -43,7 +43,7 @@ def bench_backend(
     epochs: int = 3,
     seed: int = 0,
 ) -> dict[str, Any]:
-    """Run the batched exchange under both backends and report the comparison.
+    """Run the exchange under both backends and report the comparison.
 
     Returns a dict with per-backend mode reports (wall time, bytes, pool
     stats), the ``procs_speedup`` ratio, ``identical_shards`` (must always
@@ -51,8 +51,7 @@ def bench_backend(
     run), and the core count that decides whether the speedup gate binds.
     """
     common = dict(
-        batched=True, ranks=ranks, samples=samples, shape=shape,
-        q=q, epochs=epochs, seed=seed,
+        ranks=ranks, samples=samples, shape=shape, q=q, epochs=epochs, seed=seed,
     )
     threads = _run_mode(backend="threads", **common)
     threads["backend"] = "threads"

@@ -1,12 +1,13 @@
-"""Exchange hot-path micro-benchmark: per-sample vs zero-copy batched.
+"""Exchange hot-path micro-benchmark: exact counts of the one exchange path.
 
-Both modes run the *same* reliable PLS exchange (same seed, same plan,
-same CRC/ACK protocol) over the in-process world; only the payload
-representation differs.  Besides wall time, the world's copy counters
-give a machine-independent account of the work avoided: the per-sample
-path pays a pickle copy per send plus a ``tobytes()`` walk per checksum
-(wrap and verify), while the batched path pays exactly one gather copy
-per round into a pooled buffer.
+Runs the reliable PLS exchange (checksummed ``PackedBatch`` envelopes, one
+per round) over the in-process world and reports what it did.  The counts
+are deterministic for a given config — rounds, copies, bytes copied, pool
+acquires and misses, per-rank shard checksums — so the ``repro bench``
+gate compares them exactly.  Each round copies twice: the pack gather of
+its sample bytes into a pooled buffer, and the ``Checksummed`` wrapper's
+meta + CRC word at send (the sealed envelope itself passes through by
+reference).  Wall time is reported but too short to gate on.
 """
 
 from __future__ import annotations
@@ -23,21 +24,25 @@ __all__ = ["bench_exchange", "exchange_q_sweep"]
 
 
 def _exchange_worker(
-    comm, batched: bool, q: float, samples: int, shape: tuple, epochs: int, seed: int
+    comm, q: float, samples: int, shape: tuple, epochs: int, seed: int
 ) -> dict:
     storage = StorageArea()
     rng = np.random.default_rng(seed + comm.rank)
     for _ in range(samples):
         storage.add(rng.random(shape).astype(np.float32), int(rng.integers(0, 10)))
-    sched = Scheduler(storage, comm, fraction=q, seed=seed, batched=batched)
+    sched = Scheduler(storage, comm, fraction=q, seed=seed)
+    rounds = 0
     comm.barrier()
     t0 = time.perf_counter()
     for epoch in range(epochs):
         sched.run_exchange(epoch)
+        rounds += sched.rounds
     comm.barrier()
     wall = time.perf_counter() - t0
     return {
         "wall_time_s": wall,
+        "rounds": rounds,
+        "resends": sched.resends,
         "sent_samples": sched.total_sent_samples,
         "sent_bytes": sched.total_sent_bytes,
         "shard_checksum": _shard_checksum(storage),
@@ -55,35 +60,29 @@ def _shard_checksum(storage: StorageArea) -> int:
 
 
 def _run_mode(
-    *, batched: bool, ranks: int, samples: int, shape: tuple, q: float,
+    *, ranks: int, samples: int, shape: tuple, q: float,
     epochs: int, seed: int, backend: str | None = None,
 ) -> dict[str, Any]:
     result = run_spmd(
         _exchange_worker,
         ranks,
-        args=(batched, q, samples, tuple(shape), epochs, seed),
+        args=(q, samples, tuple(shape), epochs, seed),
         backend=backend,
     )
     per_rank = list(result)
     world = result.world
     wall = max(r["wall_time_s"] for r in per_rank)
     sent_samples = sum(r["sent_samples"] for r in per_rank)
-    sent_bytes = sum(r["sent_bytes"] for r in per_rank)
-    pool = world.pool.stats()
-    copies = sum(world.copies)
-    # "Allocations" on the batched path are pool misses (steady state
-    # re-uses buffers); the per-sample path allocates on every copy.
-    allocations = pool["misses"] if batched else copies
     return {
-        "mode": "batched" if batched else "persample",
         "wall_time_s": wall,
         "ops_per_s": sent_samples / wall if wall > 0 else 0.0,
+        "rounds": sum(r["rounds"] for r in per_rank),
+        "resends": sum(r["resends"] for r in per_rank),
         "sent_samples": sent_samples,
-        "sent_bytes": sent_bytes,
+        "sent_bytes": sum(r["sent_bytes"] for r in per_rank),
         "bytes_copied": world.total_bytes_copied(),
-        "copies": copies,
-        "allocations": allocations,
-        "pool": pool,
+        "copies": sum(world.copies),
+        "pool": world.pool.stats(),
         "shard_checksums": sorted(r["shard_checksum"] for r in per_rank),
     }
 
@@ -98,45 +97,25 @@ def bench_exchange(
     seed: int = 0,
     backend: str | None = None,
 ) -> dict[str, Any]:
-    """Run the exchange in both modes and report the comparison.
+    """Run the exchange once and report its counts and timing.
 
-    The two runs share seed and plan, so the resulting shards must be
-    bit-identical (asserted via per-rank content checksums) — the speedup
-    is measured on provably equivalent work.  ``backend`` selects the rank
-    host (``"threads"`` / ``"procs"``; ``None`` defers to ``REPRO_BACKEND``).
+    The result carries ``config`` plus the run's fields: ``wall_time_s``
+    and ``ops_per_s`` (informational), and the deterministic ``rounds``,
+    ``resends``, ``sent_samples``, ``sent_bytes``, ``copies``,
+    ``bytes_copied``, ``pool`` stats and sorted per-rank
+    ``shard_checksums`` that the regression gate compares exactly.
+    ``backend`` selects the rank host (``"threads"`` / ``"procs"``;
+    ``None`` defers to ``REPRO_BACKEND``).
     """
-    common = dict(
-        ranks=ranks, samples=samples, shape=shape, q=q, epochs=epochs, seed=seed,
-        backend=backend,
+    run = _run_mode(
+        ranks=ranks, samples=samples, shape=shape, q=q, epochs=epochs,
+        seed=seed, backend=backend,
     )
-    persample = _run_mode(batched=False, **common)
-    batched = _run_mode(batched=True, **common)
-    if persample["shard_checksums"] != batched["shard_checksums"]:
-        raise AssertionError(
-            "batched exchange diverged from the per-sample reference: "
-            f"{batched['shard_checksums']} != {persample['shard_checksums']}"
-        )
-    common.pop("backend")
-    return {
-        "config": {**common, "shape": list(shape), "backend": backend},
-        "modes": {"persample": persample, "batched": batched},
-        "ratios": {
-            # Both ratios are self-normalised within one run, so they are
-            # comparable across machines of different speeds.
-            "speedup": persample["wall_time_s"] / batched["wall_time_s"],
-            "bytes_copied_ratio": (
-                persample["bytes_copied"] / batched["bytes_copied"]
-                if batched["bytes_copied"]
-                else float("inf")
-            ),
-            "allocation_ratio": (
-                persample["allocations"] / batched["allocations"]
-                if batched["allocations"]
-                else float("inf")
-            ),
-        },
-        "identical_shards": True,
-    }
+    config = dict(
+        ranks=ranks, samples=samples, shape=list(shape), q=q, epochs=epochs,
+        seed=seed, backend=backend,
+    )
+    return {"config": config, **run}
 
 
 def exchange_q_sweep(
@@ -149,11 +128,11 @@ def exchange_q_sweep(
     seed: int = 0,
     backend: str | None = None,
 ) -> list[dict[str, Any]]:
-    """Batched-exchange wall time as a function of the exchange fraction Q."""
+    """Exchange wall time as a function of the exchange fraction Q."""
     rows = []
     for q in qs:
         r = _run_mode(
-            batched=True, ranks=ranks, samples=samples, shape=shape,
+            ranks=ranks, samples=samples, shape=shape,
             q=q, epochs=epochs, seed=seed, backend=backend,
         )
         rows.append(

@@ -1,14 +1,17 @@
 """Orchestration for ``repro bench``: run, persist, and gate on artifacts.
 
-``run_bench`` executes the exchange and epoch-loader benchmarks and
-writes ``BENCH_exchange.json`` / ``BENCH_epoch.json``.  With
-``check=True`` it first loads the committed baselines and fails on a
->20 % regression of the *self-normalised* ratio metrics (speedup,
-bytes-copied ratio, allocation ratio) — ratios compare the two code
-paths within one run on one machine, so the gate is meaningful on CI
-runners of any speed.  The batched path must additionally clear the
-absolute floor of >= 2x fewer bytes copied than the per-sample path,
-which is a deterministic property of the protocol, not a timing.
+``run_bench`` executes the selected scenarios and writes one
+``BENCH_<scenario>.json`` artifact each.  With ``check=True`` it first
+loads the committed baselines, then gates every scenario that ran.
+
+The exchange gate is exact, because its counts are deterministic: the
+pack gather must be the only payload copy (``copies == 2 x rounds`` and
+``bytes_copied == pool bytes_served + 28 B x rounds``, checked without a
+baseline), and shard checksums, traffic, copy and pool counts must equal
+the committed artifact's.  Exchange timings are recorded but not gated.
+The other scenarios gate *self-normalised* ratios (>20 % regression vs
+baseline) and absolute floors, so they are meaningful on CI runners of
+any speed.
 """
 
 from __future__ import annotations
@@ -40,9 +43,19 @@ BACKEND_ARTIFACT = "BENCH_backend.json"
 #: Selectable benchmark scenarios (``repro bench --scenario``).
 SCENARIOS = ("exchange", "epoch", "telemetry", "serve", "robustness", "backend")
 
-#: Deterministic floor on the copy ratio (per-sample path copies at least
-#: pickle + 2x CRC walks per payload; batched pays one gather).
-MIN_BYTES_COPIED_RATIO = 2.0
+EXCHANGE_SCHEMA = "repro.bench.exchange/v2"
+
+#: Bytes a round's ``Checksummed`` wrapper copies at send: its
+#: ``(epoch, round, attempt)`` meta (3 x 8 B) plus the CRC word (4 B).  The
+#: sealed ``PackedBatch`` inside passes through by reference.
+ENVELOPE_COPY_NBYTES = 28
+
+#: Exchange fields that are deterministic for a config, so a fresh run
+#: must equal the committed baseline exactly (``pool`` keys separately).
+EXCHANGE_EXACT_FIELDS = (
+    "shard_checksums", "sent_samples", "sent_bytes", "copies", "bytes_copied",
+)
+EXCHANGE_EXACT_POOL_FIELDS = ("acquires", "misses")
 
 #: Floor on the grant-order Jain index for symmetric tenants: equal-weight
 #: backlogged tenants must share service near-evenly in every prefix.
@@ -120,7 +133,7 @@ def run_bench(
     if "exchange" in scenarios:
         exchange = bench_exchange(seed=seed, **params["exchange"])
         exchange["q_sweep"] = exchange_q_sweep(seed=seed, **params["q_sweep"])
-        exchange["schema"] = "repro.bench.exchange/v1"
+        exchange["schema"] = EXCHANGE_SCHEMA
         exchange["smoke"] = smoke
         (out / EXCHANGE_ARTIFACT).write_text(json.dumps(exchange, indent=2) + "\n")
     if "epoch" in scenarios:
@@ -191,6 +204,46 @@ def _ratio_regressions(
     return problems
 
 
+def _exchange_problems(exchange: dict, baseline: dict | None) -> list[str]:
+    """The exchange gate: the copy invariant, then exact baseline equality."""
+    problems = []
+    rounds, pool = exchange["rounds"], exchange["pool"]
+    want_copies = 2 * rounds
+    want_bytes = pool["bytes_served"] + ENVELOPE_COPY_NBYTES * rounds
+    if exchange["copies"] != want_copies or exchange["bytes_copied"] != want_bytes:
+        resends = exchange["resends"]
+        problems.append(
+            f"exchange: {exchange['copies']} copies / "
+            f"{exchange['bytes_copied']} B copied over {rounds} rounds, "
+            f"expected 2 x rounds = {want_copies} / pool bytes_served + "
+            f"{ENVELOPE_COPY_NBYTES} B x rounds = {want_bytes} — the pack "
+            "gather is no longer the only payload copy"
+            + (
+                f" (this run had {resends} resend(s), each re-copying the "
+                "envelope wrapper)" if resends else ""
+            )
+        )
+    if baseline is None:
+        return problems
+    if baseline.get("config") != exchange["config"]:
+        problems.append(
+            f"exchange: baseline recorded at config {baseline.get('config')}, "
+            f"this run used {exchange['config']}; counts are not comparable"
+        )
+        return problems
+    pairs = [(key, exchange[key], baseline.get(key)) for key in EXCHANGE_EXACT_FIELDS]
+    pairs += [
+        (f"pool.{key}", pool[key], baseline.get("pool", {}).get(key))
+        for key in EXCHANGE_EXACT_POOL_FIELDS
+    ]
+    problems += [
+        f"exchange: {key} is {cur}, baseline has {ref}"
+        for key, cur, ref in pairs
+        if cur != ref
+    ]
+    return problems
+
+
 def check_regression(
     exchange: dict | None,
     epoch: dict | None,
@@ -205,30 +258,15 @@ def check_regression(
     """Compare a fresh run against the committed baselines.
 
     Returns a list of human-readable problems (empty = pass).  A missing
-    baseline file is not a failure — the absolute floors still apply (the
-    copy-ratio floor for the exchange, the flight-overhead budget for
-    telemetry), so a fresh checkout cannot silently lose the fast path or
-    an always-on layer that got expensive.  A scenario passed as ``None``
-    was not run and its gates are skipped.
+    baseline file is not a failure — the baseline-free checks still apply
+    (the exchange copy invariant, the flight-overhead budget for
+    telemetry), so a fresh checkout cannot silently lose the zero-copy
+    exchange or an always-on layer that got expensive.  A scenario passed
+    as ``None`` was not run and its gates are skipped.
     """
     problems = []
     if exchange is not None:
-        copied = exchange["ratios"]["bytes_copied_ratio"]
-        if copied < MIN_BYTES_COPIED_RATIO:
-            problems.append(
-                f"exchange: bytes_copied_ratio {copied:.2f} below the "
-                f"{MIN_BYTES_COPIED_RATIO:.0f}x floor — the zero-copy path is "
-                "copying more than it should"
-            )
-        if not exchange.get("identical_shards"):
-            problems.append("exchange: batched shards diverged from per-sample reference")
-        problems += _ratio_regressions(
-            "exchange",
-            exchange,
-            baselines.get(EXCHANGE_ARTIFACT),
-            ("speedup", "bytes_copied_ratio", "allocation_ratio"),
-            tolerance,
-        )
+        problems += _exchange_problems(exchange, baselines.get(EXCHANGE_ARTIFACT))
     if epoch is not None:
         problems += _ratio_regressions(
             "epoch",

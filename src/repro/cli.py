@@ -336,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--check", action="store_true",
-        help="fail on >20%% ratio regression vs the committed baseline, or "
-        "if the batched path copies less than 2x fewer bytes",
+        help="fail on a gate: exact exchange counts vs the committed "
+        "baseline and its copy invariant, >20%% ratio regression elsewhere",
     )
     p_bench.add_argument(
         "--baseline", default=None, metavar="DIR",
@@ -956,12 +956,9 @@ def _cmd_bench(args) -> int:
     print(f"wrote {artifacts} to {result['out_dir']}")
     if ex is not None:
         print(
-            "exchange: {speedup:.2f}x faster, {copied:.2f}x fewer bytes copied, "
-            "{alloc:.1f}x fewer allocations (batched vs per-sample)".format(
-                speedup=ex["ratios"]["speedup"],
-                copied=ex["ratios"]["bytes_copied_ratio"],
-                alloc=ex["ratios"]["allocation_ratio"],
-            )
+            f"exchange: {ex['rounds']} rounds, {ex['sent_samples']} samples in "
+            f"{ex['wall_time_s'] * 1e3:.1f} ms; {ex['copies']} copies, "
+            f"{ex['bytes_copied']} B copied, {ex['pool']['misses']} pool misses"
         )
         for q_row in ex["q_sweep"]:
             print(
@@ -1001,7 +998,7 @@ def _cmd_bench(args) -> int:
         )
     if bk is not None:
         print(
-            "backend: procs {speed:.2f}x vs threads on the batched exchange "
+            "backend: procs {speed:.2f}x vs threads on the exchange "
             "({cores} core(s), speedup gate {gate}); shards identical={bit}, "
             "/dev/shm clean={shm}".format(
                 speed=bk["ratios"]["procs_speedup"],

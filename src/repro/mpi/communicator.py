@@ -138,8 +138,7 @@ class Communicator:
         Feeds the world's deterministic ``copies`` / ``bytes_copied``
         counters, the only record of copies and the numbers the fast-path
         benchmark gates on.  Called by the message layer for send-time
-        buffering and by the scheduler for checksum ``tobytes()`` walks and
-        pack gathers.
+        buffering and by the scheduler for its pack gathers.
         """
         self.world.count_copy(self._world_rank, nbytes)
 
